@@ -521,8 +521,9 @@ KernelFixture& Kernels() {
 
 void BM_KernelFilterRangeDense(benchmark::State& state) {
   KernelFixture& f = Kernels();
+  const simd::KernelTable& kt = simd::Kernels();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(FilterRangeDense(
+    benchmark::DoNotOptimize(kt.filter_range_dense(
         f.col.data(), 0, KernelFixture::kRows, 100, 600, f.out.data()));
   }
   state.SetItemsProcessed(state.iterations() * KernelFixture::kRows);
@@ -560,8 +561,9 @@ BENCHMARK(BM_KernelFilterRangeDenseScalarIsa);
 
 void BM_KernelFilterEqDense(benchmark::State& state) {
   KernelFixture& f = Kernels();
+  const simd::KernelTable& kt = simd::Kernels();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(FilterEqDense(
+    benchmark::DoNotOptimize(kt.filter_eq_dense(
         f.col.data(), 0, KernelFixture::kRows, 42, f.out.data()));
   }
   state.SetItemsProcessed(state.iterations() * KernelFixture::kRows);
@@ -581,10 +583,11 @@ BENCHMARK(BM_KernelFilterEqDenseScalarIsa);
 
 void BM_KernelFilterInDense(benchmark::State& state) {
   KernelFixture& f = Kernels();
+  const simd::KernelTable& kt = simd::Kernels();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(FilterInDense(f.col.data(), 0,
-                                           KernelFixture::kRows, f.in_values,
-                                           f.out.data()));
+    benchmark::DoNotOptimize(kt.filter_in_dense(
+        f.col.data(), 0, KernelFixture::kRows, f.in_values.data(),
+        f.in_values.size(), f.out.data()));
   }
   state.SetItemsProcessed(state.iterations() * KernelFixture::kRows);
 }
@@ -592,10 +595,11 @@ BENCHMARK(BM_KernelFilterInDense);
 
 void BM_KernelFilterRangeSel(benchmark::State& state) {
   KernelFixture& f = Kernels();
+  const simd::KernelTable& kt = simd::Kernels();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(FilterRangeSel(f.col.data(), f.half_sel.data(),
-                                            f.half_sel.size(), 100, 600,
-                                            f.out.data()));
+    benchmark::DoNotOptimize(
+        kt.filter_range_sel(f.col.data(), f.half_sel.data(), f.half_sel.size(),
+                            100, 600, f.out.data()));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(f.half_sel.size()));
@@ -604,8 +608,8 @@ BENCHMARK(BM_KernelFilterRangeSel);
 
 void BM_KernelGatherAppend(benchmark::State& state) {
   KernelFixture& f = Kernels();
-  size_t n = FilterRangeDense(f.col.data(), 0, KernelFixture::kRows, 100, 600,
-                              f.out.data());
+  size_t n = simd::Kernels().filter_range_dense(
+      f.col.data(), 0, KernelFixture::kRows, 100, 600, f.out.data());
   std::vector<int64_t> gathered;
   for (auto _ : state) {
     gathered.clear();

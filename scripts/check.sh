@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate, three stages ordered cheapest-first so hazards fail fast:
+# CI gate, four stages ordered cheapest-first so hazards fail fast:
 #
 #   1. lqo-lint       — two-phase whole-program static analysis over src/,
 #                       tests/, bench/, examples/ and tools/
@@ -15,23 +15,28 @@
 #   3. UBSan suite    — rebuilds under UndefinedBehaviorSanitizer with
 #                       -fno-sanitize-recover=all (any UB aborts) and runs
 #                       ctest again.
+#   4. ASan suite     — rebuilds under AddressSanitizer (heap/stack
+#                       overflows, use-after-free, leaks) and runs ctest
+#                       again.
 #
-# Both sanitizer builds compile with LQO_WERROR=ON, so the hardened warning
+# All sanitizer builds compile with LQO_WERROR=ON, so the hardened warning
 # set (-Wshadow -Wnon-virtual-dtor -Wimplicit-fallthrough -Wcast-qual) is
 # enforced as errors.
 #
-# A fourth stage rebuilds the tree with clang++ and -Werror=thread-safety,
+# A fifth stage rebuilds the tree with clang++ and -Werror=thread-safety,
 # statically checking the LQO_GUARDED_BY/LQO_REQUIRES annotations. It
 # auto-enables whenever clang++ is on PATH; LQO_CLANG_TSA=1 forces it,
 # LQO_CLANG_TSA=0 skips it (the default image ships GCC only).
 #
 # Usage: scripts/check.sh [tsan-build-dir] [ubsan-build-dir] [tsa-build-dir]
-#        (defaults: build-tsan build-ubsan build-tsa)
+#                        [asan-build-dir]
+#        (defaults: build-tsan build-ubsan build-tsa build-asan)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-tsan}"
 UBSAN_DIR="${2:-build-ubsan}"
+ASAN_DIR="${4:-build-asan}"
 JOBS="$(nproc)"
 
 # --- Stage 1: static analysis (fail-fast, before the expensive builds) -----
@@ -120,7 +125,14 @@ UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
   ctest --test-dir "$UBSAN_DIR" --output-on-failure -j"$JOBS"
 echo "check.sh: stage 3 (UBSan suite) passed"
 
-# --- Stage 4: Clang Thread Safety Analysis ---------------------------------
+# --- Stage 4: AddressSanitizer suite ---------------------------------------
+cmake -B "$ASAN_DIR" -S . -DLQO_SANITIZE=address -DLQO_WERROR=ON
+cmake --build "$ASAN_DIR" -j"$JOBS"
+ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1}" \
+  ctest --test-dir "$ASAN_DIR" --output-on-failure -j"$JOBS"
+echo "check.sh: stage 4 (ASan suite) passed"
+
+# --- Stage 5: Clang Thread Safety Analysis ---------------------------------
 # Compiles the tree with clang++ and -Wthread-safety as errors, statically
 # checking the LQO_GUARDED_BY/LQO_REQUIRES annotations
 # (src/common/thread_annotations.h). Auto-enables when clang++ is on PATH
@@ -147,9 +159,9 @@ if [[ "$RUN_TSA" == "1" ]]; then
   cmake -B "$TSA_DIR" -S . -DCMAKE_CXX_COMPILER=clang++ \
     -DLQO_THREAD_SAFETY=ON -DCMAKE_CXX_FLAGS=-Werror=thread-safety
   cmake --build "$TSA_DIR" -j"$JOBS"
-  echo "check.sh: stage 4 (clang -Wthread-safety) passed"
+  echo "check.sh: stage 5 (clang -Wthread-safety) passed"
 else
-  echo "check.sh: stage 4 (clang -Wthread-safety) skipped (no clang++)"
+  echo "check.sh: stage 5 (clang -Wthread-safety) skipped (no clang++)"
 fi
 
-echo "check.sh: all stages passed (lint, TSan, UBSan)"
+echo "check.sh: all stages passed (lint, TSan, UBSan, ASan)"

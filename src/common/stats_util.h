@@ -1,9 +1,18 @@
 #ifndef LQO_COMMON_STATS_UTIL_H_
 #define LQO_COMMON_STATS_UTIL_H_
 
+#include <chrono>
 #include <vector>
 
 namespace lqo {
+
+/// Seconds elapsed on the monotonic clock since `start` — a duration for
+/// timing a phase, never a wall-clock reading.
+inline double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
 
 /// Arithmetic mean; 0 for an empty input.
 double Mean(const std::vector<double>& values);

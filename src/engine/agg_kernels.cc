@@ -99,128 +99,12 @@ constexpr AggKernelTable kScalarAggTable = {
 #if LQO_AGG_SIMD_X86
 
 // ===========================================================================
-// SSE4.2: 2 × int64 lanes. pcmpgtq (SSE4.2) + pblendvb (SSE4.1) give
-// branch-free 64-bit min/max, which no SSE level has as a single
-// instruction. Sel variants assemble lanes with two scalar loads — hardware
-// gathers do not exist below AVX2, and the row ids are unordered after
-// joins, so per-lane loads are the only correct option anyway.
-// ===========================================================================
-
-__attribute__((target("sse4.2"))) uint64_t SumDenseSse(const int64_t* col,
-                                                       uint32_t row_begin,
-                                                       uint32_t row_end) {
-  uint32_t r = row_begin;
-  __m128i acc = _mm_setzero_si128();
-  for (; r + 2 <= row_end; r += 2) {
-    acc = _mm_add_epi64(
-        acc, _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + r)));
-  }
-  uint64_t lanes[2];
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  uint64_t total = lanes[0] + lanes[1];
-  for (; r < row_end; ++r) total += static_cast<uint64_t>(col[r]);
-  return total;
-}
-
-__attribute__((target("sse4.2"))) uint64_t SumSelSse(const int64_t* col,
-                                                     const uint32_t* sel,
-                                                     size_t count) {
-  size_t i = 0;
-  __m128i acc = _mm_setzero_si128();
-  for (; i + 2 <= count; i += 2) {
-    acc = _mm_add_epi64(acc, _mm_set_epi64x(col[sel[i + 1]], col[sel[i]]));
-  }
-  uint64_t lanes[2];
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  uint64_t total = lanes[0] + lanes[1];
-  for (; i < count; ++i) total += static_cast<uint64_t>(col[sel[i]]);
-  return total;
-}
-
-__attribute__((target("sse4.2"))) inline __m128i Min64Sse(__m128i a,
-                                                          __m128i b) {
-  // Keep b where a > b.
-  return _mm_blendv_epi8(a, b, _mm_cmpgt_epi64(a, b));
-}
-
-__attribute__((target("sse4.2"))) inline __m128i Max64Sse(__m128i a,
-                                                          __m128i b) {
-  // Keep b where b > a.
-  return _mm_blendv_epi8(a, b, _mm_cmpgt_epi64(b, a));
-}
-
-__attribute__((target("sse4.2"))) int64_t MinDenseSse(const int64_t* col,
-                                                      uint32_t row_begin,
-                                                      uint32_t row_end) {
-  uint32_t r = row_begin;
-  __m128i acc = _mm_set1_epi64x(std::numeric_limits<int64_t>::max());
-  for (; r + 2 <= row_end; r += 2) {
-    acc = Min64Sse(
-        acc, _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + r)));
-  }
-  int64_t lanes[2];
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  int64_t best = lanes[0] < lanes[1] ? lanes[0] : lanes[1];
-  for (; r < row_end; ++r) best = col[r] < best ? col[r] : best;
-  return best;
-}
-
-__attribute__((target("sse4.2"))) int64_t MinSelSse(const int64_t* col,
-                                                    const uint32_t* sel,
-                                                    size_t count) {
-  size_t i = 0;
-  __m128i acc = _mm_set1_epi64x(std::numeric_limits<int64_t>::max());
-  for (; i + 2 <= count; i += 2) {
-    acc = Min64Sse(acc, _mm_set_epi64x(col[sel[i + 1]], col[sel[i]]));
-  }
-  int64_t lanes[2];
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  int64_t best = lanes[0] < lanes[1] ? lanes[0] : lanes[1];
-  for (; i < count; ++i) best = col[sel[i]] < best ? col[sel[i]] : best;
-  return best;
-}
-
-__attribute__((target("sse4.2"))) int64_t MaxDenseSse(const int64_t* col,
-                                                      uint32_t row_begin,
-                                                      uint32_t row_end) {
-  uint32_t r = row_begin;
-  __m128i acc = _mm_set1_epi64x(std::numeric_limits<int64_t>::min());
-  for (; r + 2 <= row_end; r += 2) {
-    acc = Max64Sse(
-        acc, _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + r)));
-  }
-  int64_t lanes[2];
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  int64_t best = lanes[0] > lanes[1] ? lanes[0] : lanes[1];
-  for (; r < row_end; ++r) best = col[r] > best ? col[r] : best;
-  return best;
-}
-
-__attribute__((target("sse4.2"))) int64_t MaxSelSse(const int64_t* col,
-                                                    const uint32_t* sel,
-                                                    size_t count) {
-  size_t i = 0;
-  __m128i acc = _mm_set1_epi64x(std::numeric_limits<int64_t>::min());
-  for (; i + 2 <= count; i += 2) {
-    acc = Max64Sse(acc, _mm_set_epi64x(col[sel[i + 1]], col[sel[i]]));
-  }
-  int64_t lanes[2];
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  int64_t best = lanes[0] > lanes[1] ? lanes[0] : lanes[1];
-  for (; i < count; ++i) best = col[sel[i]] > best ? col[sel[i]] : best;
-  return best;
-}
-
-constexpr AggKernelTable kSseAggTable = {
-    SumDenseSse, SumSelSse, MinDenseSse, MinSelSse, MaxDenseSse, MaxSelSse,
-};
-
-// ===========================================================================
-// AVX2: 4 × int64 lanes. Same cmpgt+blendv min/max trick (AVX2 still has no
-// 64-bit vpmin/vpmax). Sel variants assemble lanes with four scalar loads
-// instead of vpgatherqq: the hardware gather takes *signed* 32-bit indices,
-// and sink row-id vectors are unordered after joins, so the ascending-max
-// guard the filter kernels use cannot bound them cheaply.
+// AVX2: 4 × int64 lanes. vpcmpgtq + vpblendvb give branch-free 64-bit
+// min/max (AVX2 has no 64-bit vpmin/vpmax). Sel variants assemble lanes
+// with four scalar loads instead of vpgatherqq: the hardware gather takes
+// *signed* 32-bit indices, and sink row-id vectors are unordered after
+// joins, so the ascending-max guard the filter kernels use cannot bound
+// them cheaply.
 // ===========================================================================
 
 __attribute__((target("avx2"))) uint64_t SumDenseAvx2(const int64_t* col,
@@ -413,8 +297,6 @@ const AggKernelTable& AggKernelsFor(Level level) {
     case Level::kScalar:
       return kScalarAggTable;
 #if LQO_AGG_SIMD_X86
-    case Level::kSse:
-      return kSseAggTable;
     case Level::kAvx2:
       return kAvx2AggTable;
 #endif

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/stats_util.h"
 #include "common/thread_pool.h"
 #include "engine/agg_kernels.h"
 #include "engine/filter_kernels.h"
@@ -40,12 +41,6 @@ constexpr uint64_t kParallelJoinMinRows = 8192;
 // still reproducible.
 constexpr uint64_t kMergeJoinMaxRows = 1ull << 20;   // left + right rows
 constexpr uint64_t kNljMaxPairs = 1ull << 22;        // left * right rows
-
-double WallSeconds(const std::chrono::steady_clock::time_point& start) {
-  std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  return elapsed.count();
-}
 
 // An intermediate result. The two execution modes store it differently:
 //
@@ -763,7 +758,7 @@ class PlanRunner {
             ? 1.0
             : static_cast<double>(right.num_rows) /
                   static_cast<double>(distinct_hashes);
-    double build_seconds = WallSeconds(build_start);
+    double build_seconds = SecondsSince(build_start);
 
     // ---- Probe phase: hash, scatter, per-partition probe. ----
     auto probe_start = std::chrono::steady_clock::now();
@@ -883,7 +878,7 @@ class PlanRunner {
       }
       return out;
     });
-    double probe_seconds = WallSeconds(probe_start);
+    double probe_seconds = SecondsSince(probe_start);
 
     // ---- Concat phase: ordered reduction over partition outputs. ----
     auto concat_start = std::chrono::steady_clock::now();
@@ -912,7 +907,7 @@ class PlanRunner {
         }
       });
     }
-    exec.concat_seconds = WallSeconds(concat_start);
+    exec.concat_seconds = SecondsSince(concat_start);
 
     exec.build_collisions = build_collisions;
     exec.probe_collisions = probe_collisions;
@@ -960,7 +955,7 @@ class PlanRunner {
       }
       return a < b;
     });
-    exec.build_seconds = WallSeconds(sort_start);
+    exec.build_seconds = SecondsSince(sort_start);
 
     auto merge_start = std::chrono::steady_clock::now();
     size_t left_width = left.cols.size();
@@ -1090,7 +1085,7 @@ class PlanRunner {
         j = je;
       }
     }
-    exec.probe_seconds = WallSeconds(merge_start);
+    exec.probe_seconds = SecondsSince(merge_start);
     return exec;
   }
 
@@ -1116,6 +1111,7 @@ class PlanRunner {
     InitJoinOut(left, right, rowid_plan, &out);
 
     if (vectorized_) {
+      const simd::KernelTable& kt = simd::Kernels();
       const int64_t* right_key0 = rkeys[0];
       SelVector sel_a;
       SelVector sel_b;
@@ -1142,9 +1138,10 @@ class PlanRunner {
               std::min<size_t>(rn, batch + kVecBatchRows));
           uint32_t* cur = sel_a.row;
           uint32_t* next = sel_b.row;
-          size_t count = FilterEqDense(right_key0, batch, e, lkeys[0][l], cur);
+          size_t count =
+              kt.filter_eq_dense(right_key0, batch, e, lkeys[0][l], cur);
           for (size_t kc = 1; kc < lkeys.size() && count > 0; ++kc) {
-            count = FilterEqSel(rkeys[kc], cur, count, lkeys[kc][l], next);
+            count = kt.filter_eq_sel(rkeys[kc], cur, count, lkeys[kc][l], next);
             std::swap(cur, next);
           }
           for (size_t t = 0; t < count; ++t) {
@@ -1179,7 +1176,7 @@ class PlanRunner {
         }
       }
     }
-    exec.probe_seconds = WallSeconds(probe_start);
+    exec.probe_seconds = SecondsSince(probe_start);
     return exec;
   }
 

@@ -11,14 +11,14 @@ namespace lqo::simd {
 /// "Vectorized execution" → "SIMD dispatch").
 ///
 /// Every data-path kernel the executor runs per batch — the Eq/Range/In
-/// selection kernels of engine/filter_kernels.h and the column-wise join-key
-/// hashing of engine/executor.cc — exists here in up to four variants, one
-/// per instruction-set level:
+/// selection kernels behind engine/filter_kernels.h and the column-wise
+/// join-key hashing of engine/executor.cc — exists here in up to three
+/// variants, one per instruction-set level:
 ///
 ///   kScalar  — plain C++ loops; the *definitional reference*. Every other
 ///              level must produce bit-identical outputs (same survivors in
-///              the same order, same hash words) on every input.
-///   kSse     — 2 × int64 lanes over SSE4.2 (x86-64).
+///              the same order, same hash words) on every input. An x86-64
+///              CPU without AVX2 runs this level.
 ///   kAvx2    — 4 × int64 lanes over AVX2, processed as 8-row groups:
 ///              two compares → combined 8-bit movemask → compressed-store
 ///              via a 256-entry vpermd permutation table (x86-64).
@@ -30,19 +30,19 @@ namespace lqo::simd {
 /// best supported level; all kernel entry points are plain function
 /// pointers in a per-level KernelTable, so steady-state dispatch is one
 /// indirect call per *batch*, never per row. The environment variable
-/// `LQO_SIMD=scalar|sse|avx2|neon` overrides detection for A/B benches and
-/// determinism tests (an unsupported request clamps to the best supported
-/// level). Because every level is bit-identical by contract, the choice can
-/// never change ExecutionResult — the determinism fingerprint in
-/// bench_parallel_scaling's `simd_kernels` site enforces this across
-/// LQO_SIMD levels × LQO_THREADS.
+/// `LQO_SIMD=scalar|avx2|neon` overrides detection for A/B benches and
+/// determinism tests (an unsupported or unknown request falls back to the
+/// best supported level). Because every level is bit-identical by contract,
+/// the choice can never change ExecutionResult — the determinism
+/// fingerprint in bench_parallel_scaling's `simd_kernels` site enforces this
+/// across LQO_SIMD levels × LQO_THREADS.
 
 // Instruction-set levels, ordered by preference within an architecture.
-enum class Level : int { kScalar = 0, kSse = 1, kAvx2 = 2, kNeon = 3 };
-inline constexpr int kNumLevels = 4;
+enum class Level : int { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+inline constexpr int kNumLevels = 3;
 
-/// Lowercase spelling used by LQO_SIMD and the bench JSON ("scalar", "sse",
-/// "avx2", "neon").
+/// Lowercase spelling used by LQO_SIMD and the bench JSON ("scalar", "avx2",
+/// "neon").
 const char* LevelName(Level level);
 
 /// Parses an LQO_SIMD spelling; returns false (leaving *out untouched) on

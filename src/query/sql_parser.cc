@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -9,6 +11,9 @@
 
 namespace lqo {
 namespace {
+
+constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
 
 enum class TokenKind { kIdent, kNumber, kString, kSymbol, kEnd };
 
@@ -53,7 +58,12 @@ class Lexer {
         Token t;
         t.kind = TokenKind::kNumber;
         t.text = input_.substr(i, j - i);
-        t.number = std::stoll(t.text);
+        std::from_chars_result parsed = std::from_chars(
+            t.text.data(), t.text.data() + t.text.size(), t.number);
+        if (parsed.ec != std::errc()) {
+          return Status::InvalidArgument("integer literal out of range: " +
+                                         t.text);
+        }
         tokens.push_back(t);
         i = j;
         continue;
@@ -370,6 +380,8 @@ class Parser {
       auto hi_or = ResolveLiteral(left, Peek());
       if (!hi_or.ok()) return hi_or.status();
       Advance();
+      // A reversed BETWEEN (lo > hi) selects nothing, as in SQL.
+      if (*lo_or > *hi_or) return AddEmptyRange(left);
       query_.AddPredicate(
           Predicate::Range(left.table_index, left.column, *lo_or, *hi_or));
       return Status::Ok();
@@ -422,9 +434,13 @@ class Parser {
     const Column& col = *ColumnOf(left);
     // One-sided comparisons become ranges anchored at the column bounds;
     // when the literal lies outside the bounds the range may be empty by
-    // construction (lo adjusted so lo <= hi always holds).
+    // construction (lo adjusted so lo <= hi always holds). `< INT64_MIN` and
+    // `> INT64_MAX` have no v - 1 / v + 1 and select nothing.
     if (op == "=") {
       query_.AddPredicate(Predicate::Equals(left.table_index, left.column, v));
+    } else if ((op == "<" && v == kInt64Min) ||
+               (op == ">" && v == kInt64Max)) {
+      return AddEmptyRange(left);
     } else if (op == "<") {
       query_.AddPredicate(Predicate::Range(
           left.table_index, left.column, std::min(col.min_value, v - 1),
@@ -442,6 +458,24 @@ class Parser {
     } else {
       return Status::InvalidArgument("unsupported operator '" + op + "'");
     }
+    return Status::Ok();
+  }
+
+  // Adds a range on `ref` that no row satisfies: a single point just outside
+  // the column's [min_value, max_value], which keeps lo <= hi.
+  Status AddEmptyRange(const ColumnRefToken& ref) {
+    const Column& col = *ColumnOf(ref);
+    int64_t outside;
+    if (col.min_value > kInt64Min) {
+      outside = col.min_value - 1;
+    } else if (col.max_value < kInt64Max) {
+      outside = col.max_value + 1;
+    } else {
+      return Status::InvalidArgument("empty range on column '" + ref.column +
+                                     "', which spans every int64 value");
+    }
+    query_.AddPredicate(
+        Predicate::Range(ref.table_index, ref.column, outside, outside));
     return Status::Ok();
   }
 

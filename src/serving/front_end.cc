@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/stats_util.h"
 
 namespace lqo {
 namespace {
@@ -21,12 +22,6 @@ uint64_t HashName(const std::string& s) {
     h *= 0x100000001b3ull;
   }
   return h;
-}
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
 }
 
 }  // namespace

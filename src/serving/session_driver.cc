@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/stats_util.h"
 #include "common/thread_pool.h"
 
 namespace lqo {
@@ -19,12 +20,6 @@ uint64_t MixHash(uint64_t z) {
 }
 
 void Fold(uint64_t* fp, uint64_t value) { *fp = MixHash(*fp ^ value); }
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 // Binding widths of a parameter-sensitive template: bindings alternate
 // between near-point ranges and near-whole-span ranges, so no single cached

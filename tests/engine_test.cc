@@ -497,6 +497,7 @@ TEST(SimdDispatchTest, SupportedLevelsAndNames) {
   }
   simd::Level unused;
   EXPECT_FALSE(simd::ParseLevel("avx512", &unused));
+  EXPECT_FALSE(simd::ParseLevel("sse", &unused));
   EXPECT_FALSE(simd::ParseLevel("", &unused));
 }
 
@@ -505,9 +506,12 @@ TEST(SimdDispatchTest, EnvOverrideHonored) {
   ASSERT_EQ(setenv("LQO_SIMD", "scalar", 1), 0);
   EXPECT_EQ(simd::ReinitFromEnv(), simd::Level::kScalar);
   EXPECT_EQ(simd::ActiveLevel(), simd::Level::kScalar);
-  // An unrecognized spelling falls back to plain detection.
-  ASSERT_EQ(setenv("LQO_SIMD", "bogus", 1), 0);
-  EXPECT_EQ(simd::ReinitFromEnv(), simd::BestSupportedLevel());
+  // An unrecognized spelling falls back to plain detection; "sse" names no
+  // level (x86 CPUs without AVX2 run scalar).
+  for (const char* unknown : {"bogus", "sse"}) {
+    ASSERT_EQ(setenv("LQO_SIMD", unknown, 1), 0);
+    EXPECT_EQ(simd::ReinitFromEnv(), simd::BestSupportedLevel()) << unknown;
+  }
   ASSERT_EQ(unsetenv("LQO_SIMD"), 0);
   EXPECT_EQ(simd::ReinitFromEnv(), simd::BestSupportedLevel());
   simd::SetLevelForTest(entry);

@@ -1,7 +1,14 @@
+#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "engine/executor.h"
+#include "optimizer/baseline_estimator.h"
+#include "optimizer/cardinality_interface.h"
+#include "optimizer/cost_model.h"
+#include "optimizer/optimizer.h"
+#include "optimizer/table_stats.h"
 #include "query/predicate.h"
 #include "query/query.h"
 #include "query/sql_parser.h"
@@ -226,6 +233,58 @@ TEST_F(SqlParserTest, RejectsMalformedInput) {
           .ok())
       << "cross product should be rejected";
   EXPECT_FALSE(ParseSql(catalog_, "").ok());
+}
+
+// Inputs that used to end the process (a failed CHECK in Predicate::Range,
+// an uncaught std::stoll exception) or evaluate with signed overflow.
+class SqlParserEdgeTest : public ::testing::Test {
+ protected:
+  SqlParserEdgeTest() : catalog_(MakeChainSchema(1, 500)) {
+    stats_.Build(catalog_);
+  }
+
+  // Plans `q` with the baseline estimator, executes it, and checks that no
+  // row survives while the estimate stays finite and non-negative.
+  void ExpectSelectsNothing(const Query& q) {
+    BaselineCardinalityEstimator baseline(&catalog_, &stats_);
+    double estimate = baseline.EstimateSubquery(Subquery{&q, q.AllTables()});
+    EXPECT_TRUE(std::isfinite(estimate)) << q.ToString();
+    EXPECT_GE(estimate, 0.0) << q.ToString();
+    AnalyticalCostModel cost_model(&stats_);
+    Optimizer optimizer(&stats_, &cost_model);
+    CardinalityProvider provider(&baseline);
+    PlannerResult planned = optimizer.Optimize(q, &provider);
+    auto exec = Executor(&catalog_).Execute(planned.plan);
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+    EXPECT_EQ(exec->row_count, 0u) << q.ToString();
+  }
+
+  Catalog catalog_;
+  StatsCatalog stats_;
+};
+
+TEST_F(SqlParserEdgeTest, ReversedBetweenIsEmptyRange) {
+  auto q = ParseSql(catalog_,
+                    "SELECT COUNT(*) FROM t0 a WHERE a.val BETWEEN 50 AND 5");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_EQ(q->predicates().size(), 1u);
+  EXPECT_EQ(q->predicates()[0].kind, PredicateKind::kRange);
+  ExpectSelectsNothing(*q);
+}
+
+TEST_F(SqlParserEdgeTest, Int64LimitLiteralsNeitherThrowNorOverflow) {
+  auto past = ParseSql(
+      catalog_, "SELECT COUNT(*) FROM t0 a WHERE a.val = 99999999999999999999");
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.status().code(), StatusCode::kInvalidArgument);
+  // At the int64 limits, `<` and `>` have no v - 1 / v + 1: empty ranges.
+  for (const char* sql :
+       {"SELECT COUNT(*) FROM t0 a WHERE a.val < -9223372036854775808",
+        "SELECT COUNT(*) FROM t0 a WHERE a.val > 9223372036854775807"}) {
+    auto q = ParseSql(catalog_, sql);
+    ASSERT_TRUE(q.ok()) << sql << ": " << q.status().ToString();
+    ExpectSelectsNothing(*q);
+  }
 }
 
 TEST_F(SqlParserTest, RoundTripsGeneratedQueries) {
